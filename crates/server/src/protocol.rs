@@ -157,27 +157,40 @@ impl Frame {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
+    fn payload_len(&self) -> usize {
         match self {
-            Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong => Vec::new(),
+            Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong => 0,
+            Frame::Submit { name, fastq } => 2 + name.len() + fastq.len(),
+            Frame::Accept { .. } => 8,
+            Frame::Busy { reason } => reason.len(),
+            Frame::Gaf { data, .. } => 8 + data.len(),
+            Frame::Done { .. } => 48,
+            Frame::Error { message, .. } => 8 + message.len(),
+            Frame::StatsReply { json } => json.len(),
+        }
+    }
+
+    /// Serializes the frame (header + payload) into one buffer sized up
+    /// front, copying each payload byte exactly once.
+    pub fn encode(&self) -> Vec<u8> {
+        let len = self.payload_len();
+        let mut out = Vec::with_capacity(HEADER_LEN + len);
+        out.push(self.kind());
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        match self {
+            Frame::Ping | Frame::Stats | Frame::Shutdown | Frame::Pong => {}
             Frame::Submit { name, fastq } => {
-                let name = name.as_bytes();
-                let mut p = Vec::with_capacity(2 + name.len() + fastq.len());
-                p.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                p.extend_from_slice(name);
-                p.extend_from_slice(fastq);
-                p
+                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(fastq);
             }
-            Frame::Accept { job } => job.to_le_bytes().to_vec(),
-            Frame::Busy { reason } => reason.as_bytes().to_vec(),
+            Frame::Accept { job } => out.extend_from_slice(&job.to_le_bytes()),
+            Frame::Busy { reason } => out.extend_from_slice(reason.as_bytes()),
             Frame::Gaf { job, data } => {
-                let mut p = Vec::with_capacity(8 + data.len());
-                p.extend_from_slice(&job.to_le_bytes());
-                p.extend_from_slice(data);
-                p
+                out.extend_from_slice(&job.to_le_bytes());
+                out.extend_from_slice(data);
             }
             Frame::Done { job, summary } => {
-                let mut p = Vec::with_capacity(48);
                 for v in [
                     *job,
                     summary.reads,
@@ -186,32 +199,22 @@ impl Frame {
                     summary.queue_wait_us,
                     summary.latency_us,
                 ] {
-                    p.extend_from_slice(&v.to_le_bytes());
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
-                p
             }
             Frame::Error { job, message } => {
-                let mut p = Vec::with_capacity(8 + message.len());
-                p.extend_from_slice(&job.to_le_bytes());
-                p.extend_from_slice(message.as_bytes());
-                p
+                out.extend_from_slice(&job.to_le_bytes());
+                out.extend_from_slice(message.as_bytes());
             }
-            Frame::StatsReply { json } => json.as_bytes().to_vec(),
+            Frame::StatsReply { json } => out.extend_from_slice(json.as_bytes()),
         }
-    }
-
-    /// Serializes the frame (header + payload) into a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        debug_assert_eq!(out.len(), HEADER_LEN + len);
         out
     }
 
-    /// Writes the frame to `w` as one `write_all` (so a mutex around `w`
-    /// keeps frames atomic under concurrent writers).
+    /// Writes the frame to `w` as one `write_all`, so a mutex around `w`
+    /// keeps frames atomic under concurrent writers and, with Nagle off,
+    /// the header never leaves as a segment of its own.
     pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(&self.encode())?;
         w.flush()
@@ -451,6 +454,83 @@ mod tests {
             let (back, used) = decode_frame(&bytes).unwrap();
             assert_eq!(back, frame);
             assert_eq!(used, bytes.len());
+        }
+    }
+
+    /// The wire format, pinned byte for byte: one frame of every kind.
+    #[test]
+    fn every_frame_kind_encodes_to_golden_bytes() {
+        let z7 = [0u8; 7];
+        let cases: Vec<(Frame, Vec<u8>)> = vec![
+            (Frame::Ping, vec![0x01, 0, 0, 0, 0]),
+            (
+                Frame::Submit { name: "ab".into(), fastq: b"@r\n".to_vec() },
+                vec![0x02, 7, 0, 0, 0, 2, 0, b'a', b'b', b'@', b'r', b'\n'],
+            ),
+            (Frame::Stats, vec![0x03, 0, 0, 0, 0]),
+            (Frame::Shutdown, vec![0x04, 0, 0, 0, 0]),
+            (Frame::Pong, vec![0x81, 0, 0, 0, 0]),
+            (
+                Frame::Accept { job: 0x0102_0304_0506_0708 },
+                vec![0x82, 8, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1],
+            ),
+            (Frame::Busy { reason: "full".into() }, vec![0x83, 4, 0, 0, 0, b'f', b'u', b'l', b'l']),
+            (
+                Frame::Gaf { job: 3, data: b"x\n".to_vec() },
+                [&[0x84, 10, 0, 0, 0, 3][..], &z7, b"x\n"].concat(),
+            ),
+            (
+                Frame::Done {
+                    job: 1,
+                    summary: JobSummary {
+                        reads: 2,
+                        chunks: 3,
+                        gaf_bytes: 4,
+                        queue_wait_us: 5,
+                        latency_us: 0x0100,
+                    },
+                },
+                [
+                    &[0x85, 48, 0, 0, 0, 1][..],
+                    &z7,
+                    &[2],
+                    &z7,
+                    &[3],
+                    &z7,
+                    &[4],
+                    &z7,
+                    &[5],
+                    &z7,
+                    &[0, 1, 0, 0, 0, 0, 0, 0],
+                ]
+                .concat(),
+            ),
+            (
+                Frame::Error { job: 9, message: "bad".into() },
+                [&[0x86, 11, 0, 0, 0, 9][..], &z7, b"bad"].concat(),
+            ),
+            (Frame::StatsReply { json: "{}".into() }, vec![0x87, 2, 0, 0, 0, b'{', b'}']),
+        ];
+        for (frame, golden) in cases {
+            assert_eq!(frame.encode(), golden, "{frame:?}");
+            let mut w = WriteCalls::default();
+            frame.write_to(&mut w).unwrap();
+            assert_eq!(w.0, vec![golden], "{frame:?} must leave in one write");
+        }
+    }
+
+    /// Records each `write` call's bytes separately.
+    #[derive(Default)]
+    struct WriteCalls(Vec<Vec<u8>>);
+
+    impl Write for WriteCalls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -435,20 +435,15 @@ impl<'a> MappingServer<'a> {
     pub fn serve(&self, conns: Receiver<Conn>) {
         std::thread::scope(|scope| {
             scope.spawn(|| self.executor());
-            loop {
-                if self.ctl.stopped() {
-                    break;
-                }
+            while !self.ctl.stopped() {
                 match conns.recv_timeout(Duration::from_millis(50)) {
                     Ok(conn) => {
                         scope.spawn(move || self.handle_conn(conn));
                     }
                     Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // No more connections will arrive; wait for the
-                        // executor to drain.
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
+                    // No more connections can arrive; the scope joins the
+                    // executor once it drains.
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         });
@@ -456,31 +451,37 @@ impl<'a> MappingServer<'a> {
 
     /// Serves TCP connections on `listener` until drained. The bench and
     /// the CLI `serve` subcommand sit on this.
+    ///
+    /// The accept blocks; once the server has drained, one loopback
+    /// connect to the listener's own port wakes it to see `stopped()`.
     pub fn serve_tcp(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            // A wildcard bind also listens on loopback.
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let (tx, rx) = std::sync::mpsc::channel();
         let write_timeout = self.config.write_timeout;
         std::thread::scope(|scope| {
             let ctl = Arc::clone(&self.ctl);
             scope.spawn(move || {
-                while !ctl.stopped() {
-                    match listener.accept() {
-                        Ok((stream, _addr)) => {
-                            let _ = stream.set_nonblocking(false);
-                            if let Ok(conn) = Conn::tcp_with_timeout(stream, write_timeout) {
-                                if tx.send(conn).is_err() {
-                                    break;
-                                }
-                            }
+                for stream in listener.incoming() {
+                    let Ok(stream) = stream else { break };
+                    if ctl.stopped() {
+                        break;
+                    }
+                    if let Ok(conn) = Conn::tcp_with_timeout(stream, write_timeout) {
+                        if tx.send(conn).is_err() {
+                            break;
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
                     }
                 }
             });
             self.serve(rx);
+            let _ = TcpStream::connect(wake);
         });
         Ok(())
     }
@@ -598,14 +599,11 @@ impl<'a> MappingServer<'a> {
                         &run.kernel_results,
                         &run.alignments,
                     );
+                    aj.gaf_bytes += gaf.len() as u64;
                     if !gaf.is_empty() {
-                        send(
-                            &aj.job.writer,
-                            &Frame::Gaf { job: aj.job.id, data: gaf.clone().into_bytes() },
-                        );
+                        send(&aj.job.writer, &Frame::Gaf { job: aj.job.id, data: gaf.into_bytes() });
                     }
                     aj.chunks += 1;
-                    aj.gaf_bytes += gaf.len() as u64;
                     aj.next_read = hi;
                     self.adaptive_tick((hi - lo) as u64);
                 }

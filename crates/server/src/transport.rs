@@ -202,30 +202,27 @@ pub struct Conn {
 
 impl Conn {
     /// Wraps a TCP stream (cloned so reads and writes have independent
-    /// handles).
+    /// handles) with unbounded writes.
     pub fn tcp(stream: TcpStream) -> io::Result<Conn> {
-        let write_half = stream.try_clone()?;
-        Ok(Conn {
-            reader: Box::new(stream),
-            writer: std::sync::Arc::new(Mutex::new(Box::new(write_half))),
-        })
+        Conn::tcp_with_timeout(stream, Duration::ZERO)
     }
 
-    /// Wraps a TCP stream like [`Conn::tcp`], but bounds every outbound
-    /// frame by `write_timeout` (see [`TimedWriter`]). A zero timeout
-    /// means unbounded writes.
+    /// Wraps a TCP stream, bounding every outbound frame by
+    /// `write_timeout` (see [`TimedWriter`]); zero means unbounded writes.
+    ///
+    /// Turns Nagle off: every frame already leaves in one `write_all`, so
+    /// there is nothing to coalesce, and with Nagle on a job's `GAF` waits
+    /// behind the unacknowledged `ACCEPT` (and `DONE` behind `GAF`) until
+    /// the peer's delayed ACK fires, ~40 ms on Linux.
     pub fn tcp_with_timeout(stream: TcpStream, write_timeout: Duration) -> io::Result<Conn> {
-        if write_timeout.is_zero() {
-            return Conn::tcp(stream);
-        }
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
-        Ok(Conn {
-            reader: Box::new(stream),
-            writer: std::sync::Arc::new(Mutex::new(Box::new(TimedWriter::new(
-                write_half,
-                write_timeout,
-            )))),
-        })
+        let writer: Box<dyn Write + Send> = if write_timeout.is_zero() {
+            Box::new(write_half)
+        } else {
+            Box::new(TimedWriter::new(write_half, write_timeout))
+        };
+        Ok(Conn { reader: Box::new(stream), writer: std::sync::Arc::new(Mutex::new(writer)) })
     }
 
     /// Creates a connected in-process pair: `(server_side, client_side)`.
@@ -325,6 +322,28 @@ mod tests {
         let mut buf = [0u8; 11];
         client.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hello frame");
+    }
+
+    #[test]
+    fn both_tcp_constructors_turn_nagle_off() {
+        use std::net::TcpListener;
+
+        let wrappers: [fn(TcpStream) -> io::Result<Conn>; 3] = [
+            Conn::tcp,
+            |s| Conn::tcp_with_timeout(s, Duration::ZERO),
+            |s| Conn::tcp_with_timeout(s, Duration::from_secs(5)),
+        ];
+        for wrap in wrappers {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server_stream, _) = listener.accept().unwrap();
+            // A clone shares the socket, so it sees the wrapped stream's
+            // options.
+            let probe = server_stream.try_clone().unwrap();
+            assert!(!probe.nodelay().unwrap(), "sockets start with Nagle on");
+            let _conn = wrap(server_stream).unwrap();
+            assert!(probe.nodelay().unwrap(), "Nagle must be off once wrapped");
+        }
     }
 
     #[test]

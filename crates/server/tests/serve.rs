@@ -2,13 +2,16 @@
 //!
 //! Every test drives a real [`MappingServer`] — admission queue, chunk
 //! executor, shared worker pool, hot tier — through the harness client
-//! over in-process loopback (one test uses real TCP), and holds the
-//! streamed GAF to the sequential one-shot oracle: for each job,
-//! [`Parent::run`] over the same reads on a *separate* parent instance.
-//! Byte equality there means multi-tenant interleaving changed nothing.
+//! over in-process loopback, and holds the streamed GAF to the
+//! sequential one-shot oracle: for each job, [`Parent::run`] over the
+//! same reads on a *separate* parent instance. Byte equality there means
+//! multi-tenant interleaving changed nothing. The `tcp` tests use real
+//! sockets and also pin the TCP socket policy: prompt drain with no
+//! client connected, and per-job latency free of delayed-ACK stalls.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mg_core::types::Workflow;
 use mg_parent::{run_to_gaf, Parent, ParentOptions};
@@ -224,6 +227,83 @@ fn real_tcp_round_trip() {
         );
         client.shutdown().expect("SHUTDOWN over TCP");
     });
+}
+
+/// `serve_tcp` with no client ever connecting: the blocking accept must
+/// be woken once the server drains.
+fn serve_tcp_returns_on_shutdown(bind: &str) {
+    let input = fixture(5);
+    let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    let server = MappingServer::new(
+        &parent,
+        ServerConfig { options: options(SchedulerKind::Dynamic, 1), ..ServerConfig::default() },
+    );
+    let listener = std::net::TcpListener::bind(bind).expect("bind");
+    let port = listener.local_addr().unwrap().port();
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = channel();
+        let server = &server;
+        scope.spawn(move || {
+            server.serve_tcp(listener).expect("serve_tcp");
+            done_tx.send(()).ok();
+        });
+        server.ctl().request_shutdown();
+        let returned = done_rx.recv_timeout(Duration::from_secs(2)).is_ok();
+        if !returned {
+            // Unstick a hung accept so the scope can join and report.
+            let _ = std::net::TcpStream::connect(("127.0.0.1", port));
+        }
+        assert!(returned, "serve_tcp on {bind} did not return within 2 s of request_shutdown");
+    });
+}
+
+#[test]
+fn serve_tcp_returns_on_shutdown_with_loopback_bind() {
+    serve_tcp_returns_on_shutdown("127.0.0.1:0");
+}
+
+#[test]
+fn serve_tcp_returns_on_shutdown_with_wildcard_bind() {
+    serve_tcp_returns_on_shutdown("0.0.0.0:0");
+}
+
+/// Sequential one-chunk jobs over loopback TCP. Mapping 8 tiny reads
+/// takes well under a millisecond, so ACCEPT → DONE is all transport:
+/// with Nagle on, `GAF` and `DONE` each wait for the client's delayed
+/// ACK (~40 ms on Linux). The bound is half that floor.
+#[test]
+fn tcp_accept_to_done_stays_below_the_delayed_ack_floor() {
+    let input = fixture(5);
+    let reads = raw_reads(&input);
+    let parent = Parent::new(&input.gbz, &input.minimizer_index, input.spec.workflow);
+    // One thread × batch 8: an 8-read job is one chunk.
+    let server = MappingServer::new(
+        &parent,
+        ServerConfig { options: options(SchedulerKind::Dynamic, 1), ..ServerConfig::default() },
+    );
+    let fastq = fastq_of(&reads[..8]);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let mut millis = std::thread::scope(|scope| {
+        scope.spawn(|| server.serve_tcp(listener).expect("serve_tcp"));
+        let _guard = ShutdownGuard(server.ctl());
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        let mut client = BlockingClient::new(Conn::tcp(stream).expect("conn"));
+        client.ping().expect("PONG");
+        let mut millis = Vec::new();
+        for i in 0..9 {
+            let job = client.submit(&format!("j{i}"), &fastq).expect("submit").expect("admitted");
+            let accepted = Instant::now();
+            let outcome = client.wait_job(job).expect("job over TCP");
+            millis.push(accepted.elapsed().as_secs_f64() * 1e3);
+            assert_eq!(expect_done(&outcome).1.chunks, 1);
+        }
+        client.shutdown().expect("SHUTDOWN over TCP");
+        millis
+    });
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(median < 20.0, "median ACCEPT -> DONE {median:.2} ms (all: {millis:.2?})");
 }
 
 /// A hog streaming a large job cannot starve a small job submitted after

@@ -45,10 +45,11 @@ mod tests {
         if !std::path::Path::new("/proc/self/status").exists() {
             return; // nothing to assert off-Linux
         }
-        let peak = peak_rss_bytes().expect("VmHWM present in /proc/self/status");
+        // Current first: a sibling test thread may grow RSS between the
+        // two reads, and a peak read later can never undercut it.
         let now = current_rss_bytes().expect("VmRSS present in /proc/self/status");
-        // A running test binary holds at least a few pages, and the peak
-        // can never undercut the current reading.
+        let peak = peak_rss_bytes().expect("VmHWM present in /proc/self/status");
+        // A running test binary holds at least a few pages.
         assert!(now > 64 * 1024, "current RSS {now} implausibly small");
         assert!(peak >= now, "peak {peak} < current {now}");
     }

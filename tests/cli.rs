@@ -182,3 +182,84 @@ fn bad_usage_fails_cleanly() {
     assert!(ok);
     assert!(stdout.contains("USAGE"));
 }
+
+/// The real CLI server over TCP: the `serving … on ADDR` banner names a
+/// reachable address, a served job's GAF is byte-identical to
+/// `minigiraffe parent` on the same reads, and SHUTDOWN exits 0.
+#[test]
+fn serve_matches_parent_over_tcp_and_exits_on_shutdown() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    use minigiraffe::server::{BlockingClient, Conn, JobOutcome};
+
+    let dir = TempDir::new("serve");
+    let (ok, _, stderr) =
+        run(&["generate", "--input-set", "tiny", "--seed", "9", "--out", &dir.path("")]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) = run(&[
+        "parent",
+        &dir.path("tiny.fastq"),
+        &dir.path("tiny.mgz"),
+        "--gaf",
+        &dir.path("parent.gaf"),
+    ]);
+    assert!(ok, "parent failed: {stderr}");
+    let expected = std::fs::read(dir.path("parent.gaf")).unwrap();
+
+    let mut child = Command::new(binary())
+        .args(["serve", &dir.path("tiny.mgz"), "--port", "0", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn minigiraffe serve");
+    // Kills the server if an assertion below fails before it exits.
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    // Drain stderr on a thread so the server never blocks on a full pipe;
+    // hand over the banner line.
+    let stderr = child.stderr.take().unwrap();
+    let mut child = Reap(child);
+    let (banner_tx, banner_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if line.starts_with("serving ") {
+                let _ = banner_tx.send(line);
+            }
+        }
+    });
+    let banner = banner_rx.recv_timeout(Duration::from_secs(30)).expect("serving banner");
+    let addr = banner
+        .split(" on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in banner {banner:?}"));
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect to served address");
+    let mut client = BlockingClient::new(Conn::tcp(stream).expect("conn"));
+    client.ping().expect("PONG");
+    let fastq = std::fs::read(dir.path("tiny.fastq")).unwrap();
+    match client.run_job("read", &fastq).expect("job") {
+        JobOutcome::Done { gaf, .. } => {
+            assert!(gaf == expected, "served GAF differs from `minigiraffe parent`")
+        }
+        JobOutcome::Failed { message } => panic!("job failed: {message}"),
+    }
+    client.shutdown().expect("SHUTDOWN");
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "server still running 5 s after SHUTDOWN");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "server exited with {status}");
+}
